@@ -10,15 +10,14 @@
 //!    hardware-independent: record pairs actually tested.
 //! 2. **Scheduler** — the pair-granular work-stealing scheduler, measured
 //!    end to end: 1 worker vs. N workers (N capped at 4) on a Zipf-sized
-//!    anticorrelated workload, plus the static strided partition as the
-//!    seed baseline. The headline is the *measured* multicore speedup and
+//!    anticorrelated workload. The headline is the *measured* multicore speedup and
 //!    the honest `hardware_threads` count of the machine that produced it;
 //!    the greedy-list makespan model from the per-group scan costs is still
 //!    reported, but demoted to a `"modeled": true` sub-object — it predicts
 //!    what a 4-core machine would do, it is not a measurement.
-//! 3. **Hot path** — ns per tested record pair of the row-wise straddle
-//!    loop vs. the scalar columnar bitmask kernel vs. the AVX2 columnar
-//!    kernel on a straddle-heavy anticorrelated workload (identical
+//! 3. **Hot path** — ns per tested record pair of the row-wise reference
+//!    straddle loop vs. the scalar columnar bitmask kernel vs. the AVX2
+//!    columnar kernel on a straddle-heavy anticorrelated workload (identical
 //!    `Stats`, asserted; the AVX2 row is skipped visibly when the CPU lacks
 //!    the feature), plus a 5-point γ sweep through the shared
 //!    [`aggsky_core::PairCache`] reporting hit/miss/resume counts and the
@@ -54,10 +53,10 @@ use aggsky_bench::MarkdownTable;
 use aggsky_core::obs::{export_chrome, render_summary, TraceRecorder};
 use aggsky_core::paircount::{compare_groups, PairOptions};
 use aggsky_core::{
-    compare_groups_blocked, compare_groups_columnar, compare_groups_columnar_scalar, cpu,
-    gamma_sweep_ctx, parallel_skyline_ctx, parallel_skyline_strided, parallel_skyline_with,
-    AlgoOptions, Algorithm, Gamma, GroupedDataset, GroupedDatasetBuilder, KernelConfig, Mbb,
-    PreparedDataset, RunContext, SkylineResult, SkylineService, Stats, WriteBatch, MAX_LANE_BLOCK,
+    compare_groups_columnar, compare_groups_columnar_scalar, compare_groups_row_wise, cpu,
+    gamma_sweep_ctx, parallel_skyline_ctx, parallel_skyline_with, AlgoOptions, Algorithm, Gamma,
+    GroupedDataset, GroupedDatasetBuilder, KernelConfig, Mbb, PreparedDataset, RunContext,
+    SkylineResult, SkylineService, Stats, WriteBatch, MAX_LANE_BLOCK,
 };
 use aggsky_datagen::{Distribution, GroupSizes, SyntheticConfig};
 use aggsky_spatial::{Aabb, RTree};
@@ -180,7 +179,6 @@ fn hotpath(records: usize, repeats: usize) -> (f64, Option<f64>, f64) {
     }
     .generate();
     let prep = PreparedDataset::build(&ds, MAX_LANE_BLOCK).expect("lane-sized blocks are valid");
-    assert!(prep.lanes_enabled(), "MAX_LANE_BLOCK blocks must carry key lanes");
     // No stopping rule: both loops must count every straddling pair, which
     // makes the per-pair cost comparable and the Stats assert exact.
     let opts = PairOptions { stop_rule: false, need_bar: false, corrected_bar: false };
@@ -211,7 +209,7 @@ fn hotpath(records: usize, repeats: usize) -> (f64, Option<f64>, f64) {
         }
         (best, out)
     };
-    let (t_row, s_row) = run(compare_groups_blocked);
+    let (t_row, s_row) = run(compare_groups_row_wise);
     let (t_scl, s_scl) = run(compare_groups_columnar_scalar);
     // The auto path dispatches to the AVX2 kernel when the CPU has it.
     let simd = cpu::simd_active();
@@ -259,7 +257,7 @@ fn hotpath(records: usize, repeats: usize) -> (f64, Option<f64>, f64) {
     let gammas: Vec<Gamma> =
         [0.5, 0.6, 0.75, 0.9, 0.99].iter().map(|&g| Gamma::new(g).expect("valid γ")).collect();
     let sweep_opts = AlgoOptions {
-        kernel: KernelConfig::Columnar { block_size: MAX_LANE_BLOCK },
+        kernel: KernelConfig::Blocked { block_size: MAX_LANE_BLOCK },
         ..AlgoOptions::exact(Gamma::DEFAULT)
     };
     let start = Instant::now();
@@ -704,7 +702,7 @@ fn main() {
     // 1-thread box we still run 2 so the scheduler path is exercised, but
     // the speedup gate below is skipped.
     let workers = cores.clamp(2, 4);
-    let par_kernel = KernelConfig::columnar();
+    let par_kernel = KernelConfig::blocked();
 
     let (t_one, r_one) = time(repeats, || {
         parallel_skyline_with(&skew_ds, gamma, 1, par_kernel).expect("1-worker run failed")
@@ -712,11 +710,7 @@ fn main() {
     let (t_many, r_many) = time(repeats, || {
         parallel_skyline_with(&skew_ds, gamma, workers, par_kernel).expect("parallel run failed")
     });
-    let (t_str, r_str) = time(repeats, || {
-        parallel_skyline_strided(&skew_ds, gamma, workers).expect("strided run failed")
-    });
     assert_eq!(r_one.skyline, r_many.skyline, "worker count must not change the skyline");
-    assert_eq!(r_str.skyline, r_many.skyline, "schedulers must agree");
     let multicore_speedup = t_one / t_many;
 
     println!(
@@ -736,12 +730,6 @@ fn main() {
         workers.to_string(),
         fmt_ms(t_many),
         format!("{multicore_speedup:.2}x"),
-    ]);
-    table.push_row(vec![
-        "strided (seed)".to_string(),
-        workers.to_string(),
-        fmt_ms(t_str),
-        format!("{:.2}x", t_one / t_str),
     ]);
     table.print();
     println!(
@@ -821,12 +809,11 @@ fn main() {
     writeln!(json, "    \"hardware_threads\": {cores},").unwrap();
     writeln!(json, "    \"groups\": {},", skew_ds.n_groups()).unwrap();
     writeln!(json, "    \"group_sizes\": \"zipf(1.4)\",").unwrap();
-    writeln!(json, "    \"kernel\": \"columnar\",").unwrap();
+    writeln!(json, "    \"kernel\": \"{}\",", par_kernel.label()).unwrap();
     writeln!(json, "    \"work_unit\": \"straddle block-pair batch\",").unwrap();
     writeln!(json, "    \"measured\": {{").unwrap();
     writeln!(json, "      \"single_worker_millis\": {t_one:.3},").unwrap();
     writeln!(json, "      \"multi_worker_millis\": {t_many:.3},").unwrap();
-    writeln!(json, "      \"strided_millis\": {t_str:.3},").unwrap();
     writeln!(json, "      \"multicore_speedup\": {multicore_speedup:.3},").unwrap();
     writeln!(json, "      \"speedup_gate\": {MIN_MULTICORE_SPEEDUP},").unwrap();
     writeln!(json, "      \"gate_applies\": {}", cores >= 2).unwrap();

@@ -35,8 +35,7 @@ pub use indexed::indexed;
 pub use naive::naive_skyline;
 pub use nested_loop::nested_loop;
 pub use parallel::{
-    parallel_skyline, parallel_skyline_ctx, parallel_skyline_strided, parallel_skyline_with,
-    resolve_threads,
+    parallel_skyline, parallel_skyline_ctx, parallel_skyline_with, resolve_threads,
 };
 pub use transitive::{sorted, transitive};
 
@@ -150,7 +149,7 @@ pub struct AlgoOptions {
     pub sort: SortStrategy,
     /// Record-counting kernel used inside every pair comparison (see
     /// [`KernelConfig`]); `Blocked` preprocesses each group once and counts
-    /// block-at-a-time.
+    /// block-at-a-time with the columnar straddle kernel.
     pub kernel: KernelConfig,
 }
 
@@ -263,31 +262,6 @@ impl Algorithm {
         Ok(self.run_on(&kernel, opts, ctx, None))
     }
 
-    /// Runs this algorithm over an existing preparation, skipping the
-    /// per-run [`crate::PreparedDataset::build`] cost (`opts.kernel` is
-    /// ignored; the blocked kernel is always active). The preparation must
-    /// have been built from `ds`.
-    pub fn run_prepared(
-        self,
-        ds: &GroupedDataset,
-        prep: &crate::prepared::PreparedDataset,
-        opts: AlgoOptions,
-    ) -> SkylineResult {
-        self.run_prepared_ctx(ds, prep, opts, &RunContext::unlimited()).unwrap_or_partial()
-    }
-
-    /// [`Algorithm::run_prepared`] under an execution-control context.
-    pub fn run_prepared_ctx(
-        self,
-        ds: &GroupedDataset,
-        prep: &crate::prepared::PreparedDataset,
-        opts: AlgoOptions,
-        ctx: &RunContext,
-    ) -> Outcome {
-        let kernel = Kernel::with_prepared(ds, prep);
-        self.run_on(&kernel, opts, ctx, None)
-    }
-
     /// Runs this algorithm over a shared preparation *and* a shared
     /// [`PairCache`]: every group comparison first consults the cache and
     /// memoizes its (possibly partial) tally. This is the entry point the
@@ -298,9 +272,9 @@ impl Algorithm {
     /// The skyline is identical to an uncached run; the `Stats` work
     /// counters reflect only freshly performed counting, with reuse
     /// reported in `cache_hits` / `cache_misses` / `cache_resumes`.
-    /// Straddling block pairs use the columnar kernel when the preparation
-    /// carries key lanes. [`Algorithm::Naive`] never consults the kernel
-    /// and therefore ignores the cache.
+    /// Counting runs the blocked kernel over `prep` (AVX2 straddles when
+    /// available). [`Algorithm::Naive`] never consults the kernel and
+    /// therefore ignores the cache.
     pub fn run_cached(
         self,
         ds: &GroupedDataset,
@@ -322,13 +296,7 @@ impl Algorithm {
         cache: &mut PairCache,
         ctx: &RunContext,
     ) -> Outcome {
-        let kernel = match Kernel::with_prepared_columnar(ds, prep) {
-            Ok(k) => k,
-            // No key lanes (over-large blocks): row-wise counting, same
-            // tallies, same cache protocol.
-            Err(_) => Kernel::with_prepared(ds, prep),
-        };
-        self.run_on(&kernel, opts, ctx, Some(cache))
+        self.run_on(&Kernel::with_prepared(ds, prep), opts, ctx, Some(cache))
     }
 
     fn run_on(

@@ -59,7 +59,7 @@ pub fn force_scalar() -> bool {
 }
 
 /// The dispatch predicate: AVX2 detected and not overridden. When `true`,
-/// [`crate::KernelConfig::Columnar`] routes straddling block pairs through
+/// [`crate::KernelConfig::Blocked`] routes straddling block pairs through
 /// the [`crate::simd`] kernel; when `false`, through the scalar columnar
 /// kernel. Either way the results are bit-identical.
 #[inline]

@@ -139,7 +139,7 @@ impl DynamicAggregateSkyline {
         assert!(dim > 0, "dimension must be positive");
         DynamicAggregateSkyline {
             dim,
-            kernel: KernelConfig::Columnar { block_size: PreparedDataset::DEFAULT_BLOCK_SIZE },
+            kernel: KernelConfig::blocked(),
             labels: Vec::new(),
             base: Vec::new(),
             pending_ins: Vec::new(),
@@ -155,28 +155,21 @@ impl DynamicAggregateSkyline {
     /// # Errors
     ///
     /// Returns [`Error::InvalidArgument`] for [`KernelConfig::Exhaustive`]
-    /// (delta recounts need a preparation to produce resumable tallies), a
-    /// zero block size, or a columnar block size above [`MAX_LANE_BLOCK`].
+    /// (delta recounts need a preparation to produce resumable tallies), or
+    /// a block size of zero or above [`MAX_LANE_BLOCK`].
     pub fn with_kernel(dim: usize, kernel: KernelConfig) -> Result<Self> {
         match kernel {
             KernelConfig::Exhaustive => {
                 return Err(Error::InvalidArgument(
-                    "dynamic maintenance requires a prepared kernel (blocked or columnar); \
+                    "dynamic maintenance requires a prepared kernel (blocked); \
                      Exhaustive produces no memoizable tally"
                         .into(),
                 ));
             }
-            KernelConfig::Blocked { block_size } => {
-                if block_size == 0 {
-                    return Err(Error::InvalidArgument(
-                        "kernel block size must be positive".into(),
-                    ));
-                }
-            }
-            KernelConfig::Columnar { block_size } | KernelConfig::ColumnarScalar { block_size } => {
+            KernelConfig::Blocked { block_size } | KernelConfig::ColumnarScalar { block_size } => {
                 if block_size == 0 || block_size > MAX_LANE_BLOCK {
                     return Err(Error::InvalidArgument(format!(
-                        "columnar block size {block_size} outside 1..={MAX_LANE_BLOCK}"
+                        "kernel block size {block_size} outside 1..={MAX_LANE_BLOCK}"
                     )));
                 }
             }
@@ -922,15 +915,14 @@ mod tests {
         assert!(!d.has_pending());
     }
 
-    /// Tallies are kernel-config independent: blocked, columnar-scalar and
-    /// columnar-auto maintenance produce bit-identical skylines, tallies
-    /// and Stats on the same edit stream.
+    /// Tallies are kernel-config independent: scalar-pinned and auto
+    /// (AVX2 when available) maintenance produce bit-identical skylines,
+    /// tallies and Stats on the same edit stream.
     #[test]
     fn kernel_configs_agree_bit_for_bit() {
         let configs = [
-            KernelConfig::Blocked { block_size: 4 },
             KernelConfig::ColumnarScalar { block_size: 4 },
-            KernelConfig::Columnar { block_size: 4 },
+            KernelConfig::Blocked { block_size: 4 },
         ];
         let mut outcomes = Vec::new();
         for cfg in configs {
@@ -952,8 +944,7 @@ mod tests {
             }
             outcomes.push((skylines, d.export_tallies(), *d.stats()));
         }
-        assert_eq!(outcomes[0], outcomes[1], "blocked vs columnar-scalar");
-        assert_eq!(outcomes[1], outcomes[2], "columnar-scalar vs columnar-auto");
+        assert_eq!(outcomes[0], outcomes[1], "columnar-scalar vs blocked (auto)");
     }
 
     #[test]

@@ -60,9 +60,8 @@ pub enum Error {
     /// accepted domain.
     InvalidArgument(String),
     /// A parallel worker panicked and the scheduler exhausted its per-chunk
-    /// retry budget (or, for the static strided scheduler, retries are not
-    /// attempted at all). Transient panics are retried and quarantined
-    /// instead — see `Stats::worker_retries` / `workers_quarantined`.
+    /// retry budget. Transient panics are retried and quarantined instead —
+    /// see `Stats::worker_retries` / `workers_quarantined`.
     WorkerPanicked {
         /// Index of the worker that observed the final panic.
         worker: usize,

@@ -1,10 +1,11 @@
-//! The blocked counting kernel: block-at-a-time pair counting over a
+//! The prepared counting kernel: block-at-a-time pair counting over a
 //! [`PreparedDataset`].
 //!
 //! [`crate::compare_groups`] resolves a group pair one record comparison at
-//! a time. The blocked kernel instead walks the fixed-size record blocks
-//! prepared by [`PreparedDataset::build`] and classifies each *block pair*
-//! first:
+//! a time; it is the paper's configuration ([`KernelConfig::Exhaustive`])
+//! and the oracle. The prepared kernel instead walks the fixed-size record
+//! blocks prepared by [`PreparedDataset::build`] and classifies each *block
+//! pair* first:
 //!
 //! * **full** — the first block's minimum corner dominates the second's
 //!   maximum corner: every record of the first dominates every record of
@@ -13,15 +14,25 @@
 //! * **skipped** — neither block's maximum corner dominates the other's
 //!   minimum corner (or the coordinate-sum ranges rule a direction out):
 //!   no pair in either direction can dominate, contributing 0 in O(1);
-//! * **straddling** — anything else falls back to a record loop: either the
-//!   row-wise binary-search loop ([`KernelConfig::Blocked`]) or the
-//!   branch-reduced columnar bitmask kernel over the preparation's key
-//!   lanes ([`KernelConfig::Columnar`], see [`crate::columnar`]). Both
-//!   produce bit-identical tallies and [`Stats`] charges.
+//! * **straddling** — anything else runs the branch-reduced columnar
+//!   bitmask kernel over the preparation's key lanes ([`crate::columnar`]),
+//!   or its AVX2 twin ([`crate::simd`]) when the CPU has it.
+//!
+//! The row-wise binary-search straddle loop survives only as a reference
+//! ([`compare_groups_row_wise`]) that the differential tests and the
+//! hot-path bench compare the columnar loops against; no [`Kernel`] runs
+//! it. All three loops produce bit-identical tallies and [`Stats`] charges.
 //!
 //! Every classification updates the same [`Counter`] the record-at-a-time
 //! path uses, so the Section 3.3 stopping rule (evaluated after each block
 //! pair) and the exact `n12`/`n21` tallies are preserved bit-for-bit.
+//!
+//! One function, `compare_prepared`, implements the comparison protocol
+//! behind every prepared entry point ([`Kernel::compare`],
+//! [`Kernel::compare_cached`], [`Kernel::compare_bounded`] and the
+//! reference functions): canonical `(min, max)` counting orientation, the
+//! group bounding-box shortcut, serving or resuming a [`PairCache`] tally,
+//! bounded batches, and storing the tally back.
 //!
 //! Block pairs are visited in a single deterministic linear order (the
 //! *block cursor*): pair `idx` is `(idx / nb₂, idx mod nb₂)`. The cursor is
@@ -30,12 +41,12 @@
 
 use crate::dataset::{GroupId, GroupedDataset};
 use crate::dominance::dominates;
-use crate::error::{Error, Result};
+use crate::error::Result;
 use crate::gamma::Gamma;
 use crate::mbb::Mbb;
 use crate::paircache::{CachedTally, PairCache};
 use crate::paircount::{compare_groups, Counter, DomLevel, PairOptions, PairVerdict};
-use crate::prepared::{BlockView, PreparedDataset, MAX_LANE_BLOCK};
+use crate::prepared::{BlockView, PreparedDataset};
 use crate::stats::Stats;
 
 /// Selects the record-counting strategy used inside every group-vs-group
@@ -43,33 +54,26 @@ use crate::stats::Stats;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelConfig {
     /// Compare records pairwise with [`crate::compare_groups`] (no
-    /// preprocessing; the paper's configuration).
+    /// preprocessing; the paper's configuration and the oracle).
     #[default]
     Exhaustive,
     /// Preprocess each group once ([`PreparedDataset::build`]) and count
-    /// block-at-a-time with the row-wise straddle loop.
+    /// block-at-a-time; straddling block pairs run the columnar bitmask
+    /// kernel, vectorized with AVX2 when the CPU supports it and
+    /// `AGGSKY_FORCE_SCALAR` is not set (see [`crate::cpu`]).
     Blocked {
-        /// Records per block; see [`PreparedDataset::DEFAULT_BLOCK_SIZE`].
+        /// Records per block, at most [`crate::MAX_LANE_BLOCK`] so one key
+        /// lane fits a `u64` mask; see
+        /// [`PreparedDataset::DEFAULT_BLOCK_SIZE`].
         block_size: usize,
     },
-    /// Like [`KernelConfig::Blocked`], but straddling block pairs are
-    /// counted by the columnar bitmask kernel over the preparation's
-    /// structure-of-arrays key lanes (see [`crate::columnar`]). Requires
-    /// `block_size <= `[`MAX_LANE_BLOCK`] so one lane fits a `u64` mask.
-    /// When the CPU supports AVX2 (and `AGGSKY_FORCE_SCALAR` is not set,
-    /// see [`crate::cpu`]), straddles run the hand-vectorized twin in
-    /// [`crate::simd`] — bit-identical tallies and [`Stats`], just faster.
-    Columnar {
-        /// Records per block (at most [`MAX_LANE_BLOCK`]).
-        block_size: usize,
-    },
-    /// [`KernelConfig::Columnar`] with SIMD dispatch pinned off: always the
+    /// [`KernelConfig::Blocked`] with SIMD dispatch pinned off: always the
     /// scalar columnar kernel, regardless of CPU features or environment.
-    /// This is the testable/benchable fallback on AVX2 hardware (the
-    /// differential oracle of `tests/simd_differential.rs` and the
-    /// `columnar-scalar` row of the perf table).
+    /// This is the SIMD-off reference on AVX2 hardware (the differential
+    /// oracle of `tests/simd_differential.rs` and the `columnar-scalar` row
+    /// of the perf table).
     ColumnarScalar {
-        /// Records per block (at most [`MAX_LANE_BLOCK`]).
+        /// Records per block (at most [`crate::MAX_LANE_BLOCK`]).
         block_size: usize,
     },
 }
@@ -80,20 +84,25 @@ impl KernelConfig {
         KernelConfig::Blocked { block_size: PreparedDataset::DEFAULT_BLOCK_SIZE }
     }
 
-    /// The columnar kernel at the default block size (SIMD when available).
-    pub fn columnar() -> KernelConfig {
-        KernelConfig::Columnar { block_size: PreparedDataset::DEFAULT_BLOCK_SIZE }
-    }
-
-    /// The scalar-pinned columnar kernel at the default block size.
+    /// The scalar-pinned blocked kernel at the default block size.
     pub fn columnar_scalar() -> KernelConfig {
         KernelConfig::ColumnarScalar { block_size: PreparedDataset::DEFAULT_BLOCK_SIZE }
     }
+
+    /// Names the kernel this configuration runs on this host:
+    /// `"exhaustive"`, `"blocked/avx2"` or `"blocked/scalar"`.
+    pub fn label(self) -> &'static str {
+        match self {
+            KernelConfig::Exhaustive => "exhaustive",
+            KernelConfig::Blocked { .. } if crate::cpu::simd_active() => "blocked/avx2",
+            KernelConfig::Blocked { .. } | KernelConfig::ColumnarScalar { .. } => "blocked/scalar",
+        }
+    }
 }
 
-/// Which straddle loop a prepared kernel runs. All three tally identically;
-/// the columnar loops are the faster ones when lanes are available, and the
-/// SIMD one the fastest when the CPU has AVX2.
+/// Which straddle loop a prepared comparison runs. All three tally
+/// identically. A [`Kernel`] runs only the columnar ones; `RowWise` is
+/// reachable solely through the [`compare_groups_row_wise`] reference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum StraddleMode {
     RowWise,
@@ -102,11 +111,9 @@ enum StraddleMode {
 }
 
 impl StraddleMode {
-    /// The columnar mode the runtime environment selects: AVX2 when
-    /// detected and not overridden, scalar otherwise.
     #[inline]
-    fn columnar_auto() -> StraddleMode {
-        if crate::cpu::simd_active() {
+    fn columnar(simd: bool) -> StraddleMode {
+        if simd {
             StraddleMode::ColumnarSimd
         } else {
             StraddleMode::ColumnarScalar
@@ -131,7 +138,9 @@ enum Prep<'a> {
 pub struct Kernel<'a> {
     ds: &'a GroupedDataset,
     prep: Prep<'a>,
-    straddle: StraddleMode,
+    /// Whether straddles run the AVX2 kernel (the scalar columnar one
+    /// otherwise); `false` without a preparation.
+    simd: bool,
 }
 
 impl<'a> Kernel<'a> {
@@ -139,76 +148,33 @@ impl<'a> Kernel<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidArgument`] for a zero block size, or for a
-    /// columnar block size above [`MAX_LANE_BLOCK`] (one lane must fit a
-    /// `u64` dominance bitmask).
+    /// Returns [`crate::Error::InvalidArgument`] for a block size of zero
+    /// or above [`crate::MAX_LANE_BLOCK`] (see [`PreparedDataset::build`]).
     pub fn new(ds: &'a GroupedDataset, config: KernelConfig) -> Result<Kernel<'a>> {
-        match config {
-            KernelConfig::Exhaustive => Ok(Kernel::exhaustive(ds)),
-            KernelConfig::Blocked { block_size } => {
-                let prep = PreparedDataset::build(ds, block_size)?;
-                Ok(Kernel {
-                    ds,
-                    prep: Prep::Owned(Box::new(prep)),
-                    straddle: StraddleMode::RowWise,
-                })
-            }
-            KernelConfig::Columnar { block_size } | KernelConfig::ColumnarScalar { block_size } => {
-                if block_size > MAX_LANE_BLOCK {
-                    return Err(Error::InvalidArgument(format!(
-                        "columnar block_size {block_size} exceeds MAX_LANE_BLOCK \
-                         ({MAX_LANE_BLOCK}); one lane must fit a u64 bitmask"
-                    )));
-                }
-                let prep = PreparedDataset::build(ds, block_size)?;
-                debug_assert!(prep.lanes_enabled());
-                let straddle = match config {
-                    KernelConfig::ColumnarScalar { .. } => StraddleMode::ColumnarScalar,
-                    _ => StraddleMode::columnar_auto(),
-                };
-                Ok(Kernel { ds, prep: Prep::Owned(Box::new(prep)), straddle })
-            }
-        }
+        let (block_size, simd) = match config {
+            KernelConfig::Exhaustive => return Ok(Kernel::exhaustive(ds)),
+            KernelConfig::Blocked { block_size } => (block_size, crate::cpu::simd_active()),
+            KernelConfig::ColumnarScalar { block_size } => (block_size, false),
+        };
+        let prep = PreparedDataset::build(ds, block_size)?;
+        Ok(Kernel { ds, prep: Prep::Owned(Box::new(prep)), simd })
     }
 
     /// Binds `ds` to the exhaustive (no preprocessing) strategy. Infallible
     /// — this is what [`crate::Algorithm::run`] uses, keeping the paper
     /// configuration free of error plumbing.
     pub fn exhaustive(ds: &'a GroupedDataset) -> Kernel<'a> {
-        Kernel { ds, prep: Prep::None, straddle: StraddleMode::RowWise }
-    }
-
-    /// Binds `ds` to an existing preparation, using the row-wise straddle
-    /// loop (the historical behavior; see
-    /// [`Kernel::with_prepared_columnar`]).
-    ///
-    /// The preparation must have been built from `ds`.
-    pub fn with_prepared(ds: &'a GroupedDataset, prep: &'a PreparedDataset) -> Kernel<'a> {
-        debug_assert_eq!(ds.n_records(), prep.n_records());
-        Kernel { ds, prep: Prep::Borrowed(prep), straddle: StraddleMode::RowWise }
+        Kernel { ds, prep: Prep::None, simd: false }
     }
 
     /// Binds `ds` to an existing preparation, counting straddles with the
     /// columnar bitmask kernel (SIMD when the CPU and environment allow,
     /// see [`crate::cpu::simd_active`]).
     ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidArgument`] if the preparation was built
-    /// without key lanes (block size above [`MAX_LANE_BLOCK`]).
-    pub fn with_prepared_columnar(
-        ds: &'a GroupedDataset,
-        prep: &'a PreparedDataset,
-    ) -> Result<Kernel<'a>> {
+    /// The preparation must have been built from `ds`.
+    pub fn with_prepared(ds: &'a GroupedDataset, prep: &'a PreparedDataset) -> Kernel<'a> {
         debug_assert_eq!(ds.n_records(), prep.n_records());
-        if !prep.lanes_enabled() {
-            return Err(Error::InvalidArgument(format!(
-                "preparation has no key lanes (block_size {} > MAX_LANE_BLOCK \
-                 {MAX_LANE_BLOCK}); rebuild with a smaller block size",
-                prep.block_size()
-            )));
-        }
-        Ok(Kernel { ds, prep: Prep::Borrowed(prep), straddle: StraddleMode::columnar_auto() })
+        Kernel { ds, prep: Prep::Borrowed(prep), simd: crate::cpu::simd_active() }
     }
 
     /// The underlying dataset.
@@ -217,8 +183,7 @@ impl<'a> Kernel<'a> {
         self.ds
     }
 
-    /// The preparation, when a prepared (blocked or columnar) kernel is
-    /// active.
+    /// The preparation, when a prepared kernel is active.
     #[inline]
     pub fn prepared(&self) -> Option<&PreparedDataset> {
         match &self.prep {
@@ -228,22 +193,10 @@ impl<'a> Kernel<'a> {
         }
     }
 
-    /// Whether straddling block pairs run a columnar bitmask kernel (scalar
-    /// or SIMD).
-    #[inline]
-    pub fn is_columnar(&self) -> bool {
-        self.straddle != StraddleMode::RowWise
-    }
-
     /// Whether straddling block pairs run the AVX2 SIMD kernel.
     #[inline]
     pub fn is_simd(&self) -> bool {
-        self.straddle == StraddleMode::ColumnarSimd
-    }
-
-    #[inline]
-    fn straddle_mode(&self) -> StraddleMode {
-        self.straddle
+        self.simd
     }
 
     /// Group bounding boxes precomputed during preparation (`None` in
@@ -265,18 +218,12 @@ impl<'a> Kernel<'a> {
         opts: PairOptions,
         stats: &mut Stats,
     ) -> PairVerdict {
-        match self.prepared() {
-            Some(p) => {
-                compare_groups_prepared(p, g1, g2, gamma, boxes, opts, stats, self.straddle_mode())
-            }
-            None => compare_groups(self.ds, g1, g2, gamma, boxes, opts, stats),
-        }
+        self.compare_cached(g1, g2, gamma, boxes, opts, None, stats)
     }
 
     /// Like [`Kernel::compare`], memoizing (and reusing) pair tallies
-    /// through `cache`. Falls back to the uncached path when no cache is
-    /// given or the kernel is exhaustive (the cache's resume cursor is
-    /// defined over block pairs).
+    /// through `cache`. The cache is ignored by the exhaustive kernel (the
+    /// cache's resume cursor is defined over block pairs).
     ///
     /// The verdict is always the one an uncached run would produce —
     /// stop-rule verdicts are certain, so serving or resuming a memoized
@@ -291,23 +238,22 @@ impl<'a> Kernel<'a> {
         gamma: Gamma,
         boxes: Option<(&Mbb, &Mbb)>,
         opts: PairOptions,
-        cache: Option<&mut PairCache>,
+        mut cache: Option<&mut PairCache>,
         stats: &mut Stats,
     ) -> PairVerdict {
-        match (self.prepared(), cache) {
-            (Some(p), Some(cache)) => compare_groups_cached(
-                p,
+        until_decided(|resume| {
+            self.compare_bounded(
                 g1,
                 g2,
                 gamma,
                 boxes,
                 opts,
-                cache,
+                resume,
+                u64::MAX,
+                cache.as_deref_mut(),
                 stats,
-                self.straddle_mode(),
-            ),
-            _ => self.compare(g1, g2, gamma, boxes, opts, stats),
-        }
+            )
+        })
     }
 
     /// One bounded batch of a group-vs-group comparison: processes at most
@@ -317,16 +263,16 @@ impl<'a> Kernel<'a> {
     /// can pick up a [`BoundedCompare::Pending`] continuation, because the
     /// tally plus the cursor fully determine the remaining work.
     ///
-    /// Semantics match [`Kernel::compare_cached`] exactly: counting runs in
-    /// canonical `(min, max)` orientation (the returned verdict is flipped
-    /// back to the caller's), a fresh start (`resume: None`) charges
-    /// `group_pairs`, applies the bounding-box shortcut, and consults
-    /// `cache` for a memoized tally to serve or resume; a continuation
-    /// (`resume: Some`) belongs to an already-charged comparison and does
-    /// neither. Decided batches store their tally back into `cache`.
-    /// `Stats` charges cover only the counting this batch performed, so a
-    /// scheduler that commits them after each successful batch never
-    /// double-charges a budget across retries.
+    /// Counting runs in canonical `(min, max)` orientation (the returned
+    /// verdict is flipped back to the caller's). A fresh start
+    /// (`resume: None`) charges `group_pairs`, applies the bounding-box
+    /// shortcut, and consults `cache` for a memoized tally to serve or
+    /// resume; a continuation (`resume: Some`) belongs to an
+    /// already-charged comparison and does neither. Decided batches store
+    /// their tally back into `cache`. `Stats` charges cover only the
+    /// counting this batch performed, so a scheduler that commits them
+    /// after each successful batch never double-charges a budget across
+    /// retries.
     ///
     /// On an exhaustive kernel (no preparation) there is no block cursor:
     /// the whole comparison runs as one batch and the work unit degrades to
@@ -341,96 +287,27 @@ impl<'a> Kernel<'a> {
         opts: PairOptions,
         resume: Option<CachedTally>,
         max_block_pairs: u64,
-        mut cache: Option<&mut PairCache>,
+        cache: Option<&mut PairCache>,
         stats: &mut Stats,
     ) -> BoundedCompare {
-        let Some(prep) = self.prepared() else {
-            return BoundedCompare::Decided {
-                verdict: self.compare(g1, g2, gamma, boxes, opts, stats),
+        match self.prepared() {
+            Some(prep) => compare_prepared(
+                prep,
+                StraddleMode::columnar(self.simd),
+                g1,
+                g2,
+                gamma,
+                boxes,
+                opts,
+                resume,
+                max_block_pairs,
+                cache,
+                stats,
+            ),
+            None => BoundedCompare::Decided {
+                verdict: compare_groups(self.ds, g1, g2, gamma, boxes, opts, stats),
                 tally: None,
-            };
-        };
-        let (lo, hi) = if g1 <= g2 { (g1, g2) } else { (g2, g1) };
-        let total = crate::num::pair_product(prep.group_len(lo), prep.group_len(hi));
-        let orient = |v: PairVerdict| if g1 <= g2 { v } else { v.flipped() };
-        let mut was_cached = false;
-        let tally = match resume {
-            Some(t) => {
-                debug_assert_eq!(t.total, total, "resume tally from a different dataset");
-                t
-            }
-            None => {
-                stats.group_pairs += 1;
-                if let Some(v) = bbox_shortcut(boxes, stats) {
-                    // Box verdicts are already in caller orientation.
-                    return BoundedCompare::Decided { verdict: v, tally: None };
-                }
-                match cache.as_ref().and_then(|c| c.lookup(lo, hi)) {
-                    Some(t) => {
-                        debug_assert_eq!(t.total, total, "cache entry from a different dataset");
-                        was_cached = true;
-                        t
-                    }
-                    None => {
-                        if cache.is_some() {
-                            stats.cache_misses += 1;
-                        }
-                        CachedTally::fresh(total)
-                    }
-                }
-            }
-        };
-        let mut counter = Counter::resume(total, gamma, opts, tally.n12, tally.n21, tally.checked);
-        // Can the carried evidence already decide the pair under this γ?
-        // (A `Pending` continuation never can — its batch just failed to —
-        // but a cache-served tally or a γ change can.)
-        let served = if tally.complete() {
-            Some(counter.final_verdict())
-        } else if opts.stop_rule {
-            counter.verdict()
-        } else {
-            None
-        };
-        if let Some(v) = served {
-            if was_cached {
-                stats.cache_hits += 1;
-            }
-            return BoundedCompare::Decided { verdict: orient(v), tally: Some(tally) };
-        }
-        if was_cached {
-            stats.cache_resumes += 1;
-        }
-        let (early, cursor) = run_blocks_from(
-            prep,
-            lo,
-            hi,
-            &mut counter,
-            opts,
-            stats,
-            self.straddle_mode(),
-            tally.cursor,
-            max_block_pairs,
-        );
-        let after = CachedTally {
-            n12: counter.n12,
-            n21: counter.n21,
-            checked: counter.checked,
-            total,
-            cursor,
-        };
-        let verdict = match early {
-            Some(v) => Some(v),
-            None if after.complete() => Some(counter.final_verdict()),
-            None => None,
-        };
-        match verdict {
-            Some(v) => {
-                if let Some(c) = cache.as_mut() {
-                    c.store(lo, hi, after);
-                }
-                BoundedCompare::Decided { verdict: orient(v), tally: Some(after) }
-            }
-            None => BoundedCompare::Pending(after),
+            },
         }
     }
 }
@@ -472,15 +349,125 @@ fn bbox_shortcut(boxes: Option<(&Mbb, &Mbb)>, stats: &mut Stats) -> Option<PairV
     None
 }
 
+/// Runs batches, each resuming where the last stopped, until one decides
+/// the pair. With an unlimited batch the first one always does.
+fn until_decided(mut batch: impl FnMut(Option<CachedTally>) -> BoundedCompare) -> PairVerdict {
+    let mut resume = None;
+    loop {
+        match batch(resume) {
+            BoundedCompare::Decided { verdict, .. } => return verdict,
+            BoundedCompare::Pending(tally) => resume = Some(tally),
+        }
+    }
+}
+
+/// The comparison protocol shared by every prepared entry point: see
+/// [`Kernel::compare_bounded`], whose semantics this is, with the straddle
+/// loop chosen by `mode`.
+#[allow(clippy::too_many_arguments)]
+fn compare_prepared(
+    prep: &PreparedDataset,
+    mode: StraddleMode,
+    g1: GroupId,
+    g2: GroupId,
+    gamma: Gamma,
+    boxes: Option<(&Mbb, &Mbb)>,
+    opts: PairOptions,
+    resume: Option<CachedTally>,
+    max_block_pairs: u64,
+    mut cache: Option<&mut PairCache>,
+    stats: &mut Stats,
+) -> BoundedCompare {
+    let (lo, hi) = if g1 <= g2 { (g1, g2) } else { (g2, g1) };
+    let total = crate::num::pair_product(prep.group_len(lo), prep.group_len(hi));
+    let orient = |v: PairVerdict| if g1 <= g2 { v } else { v.flipped() };
+    let mut was_cached = false;
+    let tally = match resume {
+        Some(t) => {
+            debug_assert_eq!(t.total, total, "resume tally from a different dataset");
+            t
+        }
+        None => {
+            stats.group_pairs += 1;
+            if let Some(v) = bbox_shortcut(boxes, stats) {
+                // Box verdicts are already in caller orientation.
+                return BoundedCompare::Decided { verdict: v, tally: None };
+            }
+            match cache.as_ref().and_then(|c| c.lookup(lo, hi)) {
+                Some(t) => {
+                    debug_assert_eq!(t.total, total, "cache entry from a different dataset");
+                    was_cached = true;
+                    t
+                }
+                None => {
+                    if cache.is_some() {
+                        stats.cache_misses += 1;
+                    }
+                    CachedTally::fresh(total)
+                }
+            }
+        }
+    };
+    let mut counter = Counter::resume(total, gamma, opts, tally.n12, tally.n21, tally.checked);
+    // Can the carried evidence already decide the pair under this γ?
+    // (A `Pending` continuation never can — its batch just failed to —
+    // but a cache-served tally or a γ change can.)
+    let served = if tally.complete() {
+        Some(counter.final_verdict())
+    } else if opts.stop_rule {
+        counter.verdict()
+    } else {
+        None
+    };
+    if let Some(v) = served {
+        if was_cached {
+            stats.cache_hits += 1;
+        }
+        return BoundedCompare::Decided { verdict: orient(v), tally: Some(tally) };
+    }
+    if was_cached {
+        stats.cache_resumes += 1;
+    }
+    let (early, cursor) = run_blocks_from(
+        prep,
+        lo,
+        hi,
+        &mut counter,
+        opts,
+        stats,
+        mode,
+        tally.cursor,
+        max_block_pairs,
+    );
+    let after =
+        CachedTally { n12: counter.n12, n21: counter.n21, checked: counter.checked, total, cursor };
+    let verdict = match early {
+        Some(v) => Some(v),
+        None if after.complete() => Some(counter.final_verdict()),
+        None => None,
+    };
+    match verdict {
+        Some(v) => {
+            if let Some(c) = cache.as_mut() {
+                c.store(lo, hi, after);
+            }
+            BoundedCompare::Decided { verdict: orient(v), tally: Some(after) }
+        }
+        None => BoundedCompare::Pending(after),
+    }
+}
+
 /// Compares groups `g1` and `g2` block-at-a-time over a prepared dataset
-/// with the row-wise straddle loop.
+/// with the row-wise straddle loop: the reference the columnar loops are
+/// differentially tested and benchmarked against. No [`Kernel`] runs it.
 ///
 /// Semantically identical to [`crate::compare_groups`] on the source
 /// dataset: the same γ/γ̄ verdicts, the same Figure 9(b) group-level
 /// shortcuts when `boxes` is given, and the same Section 3.3 stopping rule
-/// (here evaluated after each block pair). The Figure 9(c) per-record region
-/// decomposition is subsumed by the block classification.
-pub fn compare_groups_blocked(
+/// (here evaluated after each block pair, in canonical `(min, max)`
+/// orientation). The Figure 9(c) per-record region decomposition is
+/// subsumed by the block classification.
+pub fn compare_groups_row_wise(
     prep: &PreparedDataset,
     g1: GroupId,
     g2: GroupId,
@@ -489,15 +476,13 @@ pub fn compare_groups_blocked(
     opts: PairOptions,
     stats: &mut Stats,
 ) -> PairVerdict {
-    compare_groups_prepared(prep, g1, g2, gamma, boxes, opts, stats, StraddleMode::RowWise)
+    compare_unbatched(prep, StraddleMode::RowWise, g1, g2, gamma, boxes, opts, stats)
 }
 
-/// [`compare_groups_blocked`] with the columnar bitmask straddle kernel:
-/// bit-identical verdicts, tallies and [`Stats`] (the straddle loops charge
-/// the same `records_compared` / `record_pairs`). Uses the AVX2 SIMD kernel
-/// when the CPU and environment allow ([`crate::cpu::simd_active`]), the
-/// scalar columnar loop otherwise; falls back to the row-wise loop if the
-/// preparation carries no key lanes.
+/// [`compare_groups_row_wise`] with the production straddle loop: the
+/// columnar bitmask kernel, bit-identical in verdicts, tallies and
+/// [`Stats`]. Uses the AVX2 SIMD kernel when the CPU and environment allow
+/// ([`crate::cpu::simd_active`]), the scalar columnar loop otherwise.
 pub fn compare_groups_columnar(
     prep: &PreparedDataset,
     g1: GroupId,
@@ -507,7 +492,8 @@ pub fn compare_groups_columnar(
     opts: PairOptions,
     stats: &mut Stats,
 ) -> PairVerdict {
-    compare_groups_prepared(prep, g1, g2, gamma, boxes, opts, stats, StraddleMode::columnar_auto())
+    let mode = StraddleMode::columnar(crate::cpu::simd_active());
+    compare_unbatched(prep, mode, g1, g2, gamma, boxes, opts, stats)
 }
 
 /// [`compare_groups_columnar`] with SIMD dispatch pinned off: always the
@@ -522,122 +508,27 @@ pub fn compare_groups_columnar_scalar(
     opts: PairOptions,
     stats: &mut Stats,
 ) -> PairVerdict {
-    compare_groups_prepared(prep, g1, g2, gamma, boxes, opts, stats, StraddleMode::ColumnarScalar)
+    compare_unbatched(prep, StraddleMode::ColumnarScalar, g1, g2, gamma, boxes, opts, stats)
 }
 
 #[allow(clippy::too_many_arguments)]
-fn compare_groups_prepared(
+fn compare_unbatched(
     prep: &PreparedDataset,
+    mode: StraddleMode,
     g1: GroupId,
     g2: GroupId,
     gamma: Gamma,
     boxes: Option<(&Mbb, &Mbb)>,
     opts: PairOptions,
     stats: &mut Stats,
-    mode: StraddleMode,
 ) -> PairVerdict {
-    stats.group_pairs += 1;
-    let total = crate::num::pair_product(prep.group_len(g1), prep.group_len(g2));
-    let mut counter = Counter::new(total, gamma, opts);
-    if let Some(v) = bbox_shortcut(boxes, stats) {
-        return v;
-    }
-    match run_blocks_from(prep, g1, g2, &mut counter, opts, stats, mode, 0, u64::MAX).0 {
-        Some(v) => v,
-        None => counter.final_verdict(),
-    }
-}
-
-/// The memoizing comparison path behind [`Kernel::compare_cached`]: counts
-/// in canonical `(min, max)` group orientation so one cache entry serves
-/// both orientations, serves memoized verdicts when they are already
-/// certain under the caller's γ, and otherwise resumes the block cursor
-/// from where the memoized tally stopped.
-#[allow(clippy::too_many_arguments)]
-fn compare_groups_cached(
-    prep: &PreparedDataset,
-    g1: GroupId,
-    g2: GroupId,
-    gamma: Gamma,
-    boxes: Option<(&Mbb, &Mbb)>,
-    opts: PairOptions,
-    cache: &mut PairCache,
-    stats: &mut Stats,
-    mode: StraddleMode,
-) -> PairVerdict {
-    stats.group_pairs += 1;
-    if let Some(v) = bbox_shortcut(boxes, stats) {
-        return v;
-    }
-    let (lo, hi) = if g1 <= g2 { (g1, g2) } else { (g2, g1) };
-    let total = crate::num::pair_product(prep.group_len(lo), prep.group_len(hi));
-    let (tally, was_cached) = match cache.lookup(lo, hi) {
-        Some(t) => {
-            debug_assert_eq!(t.total, total, "cache entry from a different dataset");
-            (t, true)
-        }
-        None => {
-            stats.cache_misses += 1;
-            (CachedTally::fresh(total), false)
-        }
-    };
-    let mut counter = Counter::resume(total, gamma, opts, tally.n12, tally.n21, tally.checked);
-    // Can the memoized evidence already decide the pair under this γ?
-    let served = if tally.complete() {
-        Some(counter.final_verdict())
-    } else if opts.stop_rule {
-        counter.verdict()
-    } else {
-        None
-    };
-    let verdict = match served {
-        Some(v) => {
-            if was_cached {
-                stats.cache_hits += 1;
-            }
-            v
-        }
-        None => {
-            if was_cached {
-                stats.cache_resumes += 1;
-            }
-            let (early, cursor) = run_blocks_from(
-                prep,
-                lo,
-                hi,
-                &mut counter,
-                opts,
-                stats,
-                mode,
-                tally.cursor,
-                u64::MAX,
-            );
-            cache.store(
-                lo,
-                hi,
-                CachedTally {
-                    n12: counter.n12,
-                    n21: counter.n21,
-                    checked: counter.checked,
-                    total,
-                    cursor,
-                },
-            );
-            match early {
-                Some(v) => v,
-                None => counter.final_verdict(),
-            }
-        }
-    };
-    if g1 <= g2 {
-        verdict
-    } else {
-        verdict.flipped()
-    }
+    until_decided(|resume| {
+        compare_prepared(prep, mode, g1, g2, gamma, boxes, opts, resume, u64::MAX, None, stats)
+    })
 }
 
 /// Exact pair counts `(n12, n21)` for one group pair, computed with the
-/// blocked kernel and no early termination.
+/// production straddle loop and no early termination.
 ///
 /// This is the kernel-side ground truth the equivalence tests compare
 /// against [`crate::DominationMatrix::build`].
@@ -650,8 +541,7 @@ pub fn count_pairs(
     let total = crate::num::pair_product(prep.group_len(g1), prep.group_len(g2));
     let opts = PairOptions { stop_rule: false, need_bar: false, corrected_bar: false };
     let mut counter = Counter::new(total, Gamma::DEFAULT, opts);
-    let mode =
-        if prep.lanes_enabled() { StraddleMode::columnar_auto() } else { StraddleMode::RowWise };
+    let mode = StraddleMode::columnar(crate::cpu::simd_active());
     let (early, _) = run_blocks_from(prep, g1, g2, &mut counter, opts, stats, mode, 0, u64::MAX);
     debug_assert!(early.is_none(), "stop rule is disabled");
     crate::invariants::check_pair_conservation(
@@ -727,23 +617,19 @@ fn run_blocks_from(
                     counter.checked += pairs;
                     stats.blocks_skipped += 1;
                 } else {
+                    let lanes = || (prep.lane_block(g1, a), prep.lane_block(g2, b));
                     match mode {
-                        StraddleMode::ColumnarScalar | StraddleMode::ColumnarSimd
-                            if prep.lanes_enabled() =>
-                        {
-                            let la = prep.lane_block(g1, a);
-                            let lb = prep.lane_block(g2, b);
-                            if mode == StraddleMode::ColumnarSimd {
-                                crate::simd::straddle_lanes_simd(
-                                    dim, &la, &lb, fwd, bwd, counter, stats,
-                                );
-                            } else {
-                                crate::columnar::straddle_lanes(
-                                    dim, &la, &lb, fwd, bwd, counter, stats,
-                                );
-                            }
+                        StraddleMode::RowWise => straddle(dim, &ba, &bb, fwd, bwd, counter, stats),
+                        StraddleMode::ColumnarScalar => {
+                            let (la, lb) = lanes();
+                            crate::columnar::straddle_lanes(dim, &la, &lb, fwd, bwd, counter, stats)
                         }
-                        _ => straddle(dim, &ba, &bb, fwd, bwd, counter, stats),
+                        StraddleMode::ColumnarSimd => {
+                            let (la, lb) = lanes();
+                            crate::simd::straddle_lanes_simd(
+                                dim, &la, &lb, fwd, bwd, counter, stats,
+                            )
+                        }
                     }
                     counter.checked += pairs;
                 }
@@ -762,7 +648,7 @@ fn run_blocks_from(
     (None, cursor)
 }
 
-/// Row-wise record loop for a straddling block pair. Only the directions
+/// Row-wise record loop for a straddling block pair (the reference loop). Only the directions
 /// flagged possible are tested, and within a direction only the records
 /// whose sums permit it: `bb.sums` is descending, so for each probe record
 /// the strictly-greater prefix can only dominate it and the strictly-smaller
@@ -806,7 +692,9 @@ fn straddle(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::Error;
     use crate::matrix::DominationMatrix;
+    use crate::prepared::MAX_LANE_BLOCK;
     use crate::testdata::{movie_directors, random_dataset};
 
     fn all_pair_options() -> Vec<PairOptions> {
@@ -840,7 +728,7 @@ mod tests {
                             for use_boxes in [false, true] {
                                 let pair_boxes = use_boxes.then(|| (&boxes[g1], &boxes[g2]));
                                 let mut stats = Stats::default();
-                                let v = compare_groups_blocked(
+                                let v = compare_groups_columnar(
                                     &prep,
                                     g1,
                                     g2,
@@ -879,7 +767,6 @@ mod tests {
             let ds = random_dataset(8, 9, 3, 900 + seed);
             for block_size in [1, 3, 8, 64] {
                 let prep = PreparedDataset::build(&ds, block_size).unwrap();
-                assert!(prep.lanes_enabled());
                 let boxes = Mbb::of_all_groups(&ds);
                 for g1 in 0..ds.n_groups() {
                     for g2 in (g1 + 1)..ds.n_groups() {
@@ -888,7 +775,7 @@ mod tests {
                                 let pair_boxes = use_boxes.then(|| (&boxes[g1], &boxes[g2]));
                                 let mut s_row = Stats::default();
                                 let mut s_col = Stats::default();
-                                let row = compare_groups_blocked(
+                                let row = compare_groups_row_wise(
                                     &prep,
                                     g1,
                                     g2,
@@ -971,10 +858,10 @@ mod tests {
         let ds = movie_directors();
         let exhaustive = Kernel::new(&ds, KernelConfig::Exhaustive).unwrap();
         let blocked = Kernel::new(&ds, KernelConfig::blocked()).unwrap();
-        let columnar = Kernel::new(&ds, KernelConfig::columnar()).unwrap();
+        let scalar = Kernel::new(&ds, KernelConfig::columnar_scalar()).unwrap();
         assert!(exhaustive.prepared().is_none());
-        assert!(blocked.prepared().is_some());
-        assert!(columnar.prepared().is_some() && columnar.is_columnar());
+        assert_eq!(blocked.is_simd(), crate::cpu::simd_active());
+        assert!(scalar.prepared().is_some() && !scalar.is_simd());
         let opts = PairOptions::default();
         for g1 in ds.group_ids() {
             for g2 in (g1 + 1)..ds.n_groups() {
@@ -983,7 +870,7 @@ mod tests {
                 let mut s3 = Stats::default();
                 let v = exhaustive.compare(g1, g2, Gamma::DEFAULT, None, opts, &mut s1);
                 assert_eq!(v, blocked.compare(g1, g2, Gamma::DEFAULT, None, opts, &mut s2));
-                assert_eq!(v, columnar.compare(g1, g2, Gamma::DEFAULT, None, opts, &mut s3));
+                assert_eq!(v, scalar.compare(g1, g2, Gamma::DEFAULT, None, opts, &mut s3));
             }
         }
     }
@@ -996,17 +883,11 @@ mod tests {
             Err(Error::InvalidArgument(_))
         ));
         assert!(matches!(
-            Kernel::new(&ds, KernelConfig::Columnar { block_size: 0 }),
+            Kernel::new(&ds, KernelConfig::Blocked { block_size: MAX_LANE_BLOCK + 1 }),
             Err(Error::InvalidArgument(_))
         ));
         assert!(matches!(
-            Kernel::new(&ds, KernelConfig::Columnar { block_size: MAX_LANE_BLOCK + 1 }),
-            Err(Error::InvalidArgument(_))
-        ));
-        let big = PreparedDataset::build(&ds, MAX_LANE_BLOCK + 1).unwrap();
-        assert!(!big.lanes_enabled());
-        assert!(matches!(
-            Kernel::with_prepared_columnar(&ds, &big),
+            Kernel::new(&ds, KernelConfig::ColumnarScalar { block_size: MAX_LANE_BLOCK + 1 }),
             Err(Error::InvalidArgument(_))
         ));
     }
@@ -1018,8 +899,6 @@ mod tests {
         let kernel = Kernel::with_prepared(&ds, &prep);
         assert!(std::ptr::eq(kernel.prepared().unwrap(), &prep));
         assert_eq!(kernel.group_mbbs().unwrap(), &Mbb::of_all_groups(&ds)[..]);
-        let columnar = Kernel::with_prepared_columnar(&ds, &prep).unwrap();
-        assert!(columnar.is_columnar());
     }
 
     /// Cached comparisons serve and resume without flipping any verdict,
@@ -1028,7 +907,7 @@ mod tests {
     fn cached_compare_matches_uncached_across_gammas() {
         for seed in 0..4 {
             let ds = random_dataset(8, 9, 3, 1200 + seed);
-            let kernel = Kernel::new(&ds, KernelConfig::columnar()).unwrap();
+            let kernel = Kernel::new(&ds, KernelConfig::blocked()).unwrap();
             let mut cache = PairCache::new();
             let opts = PairOptions::default();
             for gamma in [0.5, 0.6, 0.75, 0.9] {

@@ -34,8 +34,12 @@
 //! * [`matrix`] — domination matrices (the Proposition 5 proof machinery).
 //! * [`mbb`] — group bounding boxes and corner pruning (Figure 9).
 //! * [`paircount`] — pairwise counting with the Section 3.3 stopping rule.
-//! * [`prepared`] — one-time sort/block preprocessing for the blocked kernel.
-//! * [`kernel`] — block-at-a-time pair counting over a prepared dataset.
+//! * [`prepared`] — one-time sort/block/key-lane preprocessing for the
+//!   prepared kernel.
+//! * [`kernel`] — the one prepared counting kernel: block-at-a-time pair
+//!   counting with columnar (AVX2 when available) straddles, behind a
+//!   single compare path; the row-wise straddle loop is kept there only as
+//!   a reference.
 //! * [`algorithms`] — NL, TR, SI, IN, LO, the naive oracle and a parallel
 //!   extension.
 //! * [`record_skyline`] — classic record skylines (BNL, SFS) as substrate.
@@ -109,8 +113,8 @@ pub(crate) mod testdata;
 
 pub use algorithms::{
     indexed, naive_skyline, nested_loop, parallel_skyline, parallel_skyline_ctx,
-    parallel_skyline_strided, parallel_skyline_with, resolve_threads, sorted, transitive,
-    AlgoOptions, Algorithm, Pruning, SkylineResult, SortStrategy,
+    parallel_skyline_with, resolve_threads, sorted, transitive, AlgoOptions, Algorithm, Pruning,
+    SkylineResult, SortStrategy,
 };
 pub use anytime::{
     anytime_resume, anytime_resume_ctx, anytime_skyline, anytime_skyline_ctx, AnytimeCheckpoint,
@@ -125,7 +129,7 @@ pub use explain::{
 };
 pub use gamma::{domination_count, domination_probability, gamma_dominates, Gamma};
 pub use kernel::{
-    compare_groups_blocked, compare_groups_columnar, compare_groups_columnar_scalar, count_pairs,
+    compare_groups_columnar, compare_groups_columnar_scalar, compare_groups_row_wise, count_pairs,
     BoundedCompare, Kernel, KernelConfig,
 };
 pub use matrix::DominationMatrix;

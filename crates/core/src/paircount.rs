@@ -91,9 +91,9 @@ pub(crate) struct Counter {
     pub(crate) n21: u64,
     pub(crate) checked: u64,
     pub(crate) total: u64,
-    gamma: f64,
-    gamma_bar: f64,
+    gamma: Gamma,
     need_bar: bool,
+    corrected_bar: bool,
 }
 
 impl Counter {
@@ -103,13 +103,9 @@ impl Counter {
             n21: 0,
             checked: 0,
             total,
-            gamma: gamma.value(),
-            gamma_bar: if opts.corrected_bar {
-                gamma.bar_corrected()
-            } else {
-                gamma.strong_threshold()
-            },
+            gamma,
             need_bar: opts.need_bar,
+            corrected_bar: opts.corrected_bar,
         }
     }
 
@@ -137,33 +133,38 @@ impl Counter {
         c
     }
 
-    /// Forward level if the count stopped right now and all remaining pairs
-    /// were worst-case; `None` when the direction is not yet resolved.
+    /// The strong (γ̄-level) test the options select, on a probability.
+    fn strong(&self, p: f64) -> bool {
+        if self.corrected_bar {
+            self.gamma.strongly_dominated_corrected(p)
+        } else {
+            self.gamma.strongly_dominated(p)
+        }
+    }
+
+    /// Level of a direction with `n` dominating pairs so far, if the count
+    /// stopped right now and all remaining pairs were worst-case; `None`
+    /// when the direction is not yet resolved. Every threshold is decided
+    /// on `p = n / total` by [`Gamma`]'s own tests, so a count resolves
+    /// exactly as the exhaustive oracle would — including the exact tie
+    /// `p = γ`, which is not domination. At a full count (`rem = 0`) the
+    /// lowest and highest reachable `p` coincide and the level is total.
     fn resolve_dir(&self, n: u64) -> Option<DomLevel> {
         let total = self.total as f64;
-        let rem = self.total - self.checked;
-        let low = n as f64;
-        let high = (n + rem) as f64;
-        // Can this direction still reach γ-level domination (p > γ or p = 1)?
-        let possible_gamma = high > self.gamma * total || n + rem == self.total;
-        if !possible_gamma {
+        let low = n as f64 / total;
+        let high = (n + (self.total - self.checked)) as f64 / total;
+        if !self.gamma.dominated(high) {
             return Some(DomLevel::None);
         }
-        // Is γ-level domination already certain?
-        let certain_gamma =
-            low > self.gamma * total || (self.checked == self.total && n == self.total);
-        if !certain_gamma {
+        if !self.gamma.dominated(low) {
             return None;
         }
         if !self.need_bar {
             return Some(DomLevel::Gamma);
         }
-        let possible_bar = high > self.gamma_bar * total || n + rem == self.total;
-        let certain_bar =
-            low > self.gamma_bar * total || (self.checked == self.total && n == self.total);
-        if certain_bar {
+        if self.strong(low) {
             Some(DomLevel::GammaBar)
-        } else if !possible_bar {
+        } else if !self.strong(high) {
             Some(DomLevel::Gamma)
         } else {
             None
@@ -176,27 +177,12 @@ impl Counter {
         Some(PairVerdict { forward, backward })
     }
 
-    /// Level of a direction once every pair has been counted. Total — at a
-    /// full count [`Counter::resolve_dir`]'s "possible" and "certain"
-    /// conditions coincide, so this is its `rem = 0` specialization.
-    fn resolve_full(&self, n: u64) -> DomLevel {
-        let total = self.total as f64;
-        if !((n as f64) > self.gamma * total || n == self.total) {
-            return DomLevel::None;
-        }
-        if !self.need_bar {
-            return DomLevel::Gamma;
-        }
-        if (n as f64) > self.gamma_bar * total || n == self.total {
-            DomLevel::GammaBar
-        } else {
-            DomLevel::Gamma
-        }
-    }
-
+    /// The verdict once every pair has been counted. At `rem = 0`
+    /// [`Counter::resolve_dir`] resolves both directions, so the fallback
+    /// is never taken.
     pub(crate) fn final_verdict(&self) -> PairVerdict {
         debug_assert_eq!(self.checked, self.total);
-        PairVerdict { forward: self.resolve_full(self.n12), backward: self.resolve_full(self.n21) }
+        self.verdict().unwrap_or(PairVerdict::INCOMPARABLE)
     }
 }
 

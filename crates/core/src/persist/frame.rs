@@ -405,7 +405,7 @@ mod tests {
                 dim: 3,
                 gamma_bits: 0.5f64.to_bits(),
                 block_size: 8,
-                kernel_tag: 2,
+                kernel_tag: 3,
                 seed: 99,
                 data_hash: 0xDEAD_BEEF_CAFE_F00D,
             },

@@ -105,12 +105,13 @@ impl Fingerprint {
 
     /// Binds the fingerprint to a kernel configuration (tag + block size),
     /// so cursors persisted under one blocking are never replayed under
-    /// another.
+    /// another. Tag 2 (the retired row-wise blocked kernel) is never
+    /// written again; `Blocked` keeps tag 3, which the columnar kernel it
+    /// now always runs was written under, so those frames restore warm.
     pub fn with_kernel(mut self, cfg: KernelConfig) -> Fingerprint {
         let (tag, block_size) = match cfg {
             KernelConfig::Exhaustive => (1u8, 0usize),
-            KernelConfig::Blocked { block_size } => (2, block_size),
-            KernelConfig::Columnar { block_size } => (3, block_size),
+            KernelConfig::Blocked { block_size } => (3, block_size),
             KernelConfig::ColumnarScalar { block_size } => (4, block_size),
         };
         self.kernel_tag = tag;
@@ -377,8 +378,9 @@ mod tests {
         assert_ne!(base, base.with_kernel(KernelConfig::Blocked { block_size: 8 }));
         assert_ne!(
             base.with_kernel(KernelConfig::Blocked { block_size: 8 }),
-            base.with_kernel(KernelConfig::Columnar { block_size: 8 }),
+            base.with_kernel(KernelConfig::ColumnarScalar { block_size: 8 }),
         );
+        assert_eq!(base.with_kernel(KernelConfig::Blocked { block_size: 8 }).kernel_tag, 3);
     }
 
     #[test]

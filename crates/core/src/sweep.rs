@@ -82,9 +82,9 @@ pub fn gamma_sweep_ctx(
 ) -> Result<SweepOutcome> {
     let block_size = match opts.kernel {
         KernelConfig::Exhaustive => PreparedDataset::DEFAULT_BLOCK_SIZE,
-        KernelConfig::Blocked { block_size }
-        | KernelConfig::Columnar { block_size }
-        | KernelConfig::ColumnarScalar { block_size } => block_size,
+        KernelConfig::Blocked { block_size } | KernelConfig::ColumnarScalar { block_size } => {
+            block_size
+        }
     };
     let prep = PreparedDataset::build(ds, block_size)?;
     let mut cache = PairCache::new();

@@ -258,7 +258,11 @@ impl Database {
             seq,
             sql: text.to_string(),
             budget: self.timeout_ticks,
-            kernel: "default".to_string(),
+            // `SKYLINE OF` counts with `AlgoOptions::exact`'s kernel.
+            kernel: aggsky_core::AlgoOptions::exact(aggsky_core::Gamma::DEFAULT)
+                .kernel
+                .label()
+                .to_string(),
             ..QueryRecord::default()
         };
         let clock = if self.record_wall_time { Some(WallClock::start()) } else { None };
@@ -478,7 +482,8 @@ impl Database {
                 let mut removed = Vec::new();
                 let mut positions = Vec::new();
                 let mut kept = Vec::with_capacity(t.rows.len());
-                for (pos, (row, hit)) in std::mem::take(&mut t.rows).into_iter().zip(hit).enumerate()
+                for (pos, (row, hit)) in
+                    std::mem::take(&mut t.rows).into_iter().zip(hit).enumerate()
                 {
                     if hit {
                         removed.push(row);
@@ -780,6 +785,7 @@ mod journal_tests {
         assert_eq!(sel.query_id, query_id(2, SKYLINE));
         assert_eq!(sel.plan, "scan(movie)+group+skyline(d=2)");
         assert_eq!(sel.gamma_permille, Some(750));
+        assert_eq!(sel.kernel, "exhaustive");
         assert!(sel.ticks > 0, "aggregate skyline spends record pairs");
         assert!(sel.rows_scanned >= 4, "scan counter harvested: {}", sel.rows_scanned);
         assert!(sel.groups_built >= 3, "group counter harvested: {}", sel.groups_built);

@@ -265,14 +265,16 @@ fn skyline_command(args: &[String]) -> Result<String, CliError> {
         (outcome, name)
     } else {
         match threads {
-            Some(t) => (
-                parallel_skyline_ctx(&ds, gamma, t, KernelConfig::blocked(), &ctx)
-                    .map_err(|e| e.to_string())?,
-                format!("PAR({} threads)", resolve_threads(t)),
-            ),
+            Some(t) => {
+                let kernel = KernelConfig::blocked();
+                (
+                    parallel_skyline_ctx(&ds, gamma, t, kernel, &ctx).map_err(|e| e.to_string())?,
+                    format!("PAR({} threads, {})", resolve_threads(t), kernel.label()),
+                )
+            }
             None => (
                 algorithm.run_ctx(&ds, opts, &ctx).map_err(|e| e.to_string())?,
-                algorithm.short_name().to_string(),
+                format!("{}({})", algorithm.short_name(), opts.kernel.label()),
             ),
         }
     };

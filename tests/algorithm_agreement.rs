@@ -51,7 +51,8 @@ fn exact_algorithms_match_oracle() {
         let ds = random_grid_dataset(seed);
         let gamma = gamma_for(seed);
         let oracle = naive_skyline(&ds, gamma).skyline;
-        for kernel in [KernelConfig::Exhaustive, KernelConfig::blocked(), KernelConfig::columnar()]
+        for kernel in
+            [KernelConfig::Exhaustive, KernelConfig::blocked(), KernelConfig::columnar_scalar()]
         {
             let opts = AlgoOptions { kernel, ..AlgoOptions::exact(gamma) };
             for algo in Algorithm::EVALUATED {

@@ -161,7 +161,7 @@ fn pair_granular_panic_mid_batch_is_retried_without_double_charging() {
     }
     let ds = b.build().unwrap();
     let exact = naive_skyline(&ds, Gamma::DEFAULT).skyline;
-    let kernel = KernelConfig::Columnar { block_size: 1 };
+    let kernel = KernelConfig::Blocked { block_size: 1 };
 
     let clean = match parallel_skyline_ctx(&ds, Gamma::DEFAULT, 1, kernel, &RunContext::unlimited())
         .unwrap()

@@ -1,5 +1,5 @@
 //! Differential suite for the columnar straddle kernel: the lane-based
-//! bitmask path must be *bit-identical* to the row-wise blocked path — same
+//! bitmask path must be *bit-identical* to the row-wise reference loop — same
 //! verdicts, same `n12`/`n21`, same `Stats` — and both must agree with the
 //! unblocked per-record ground truth, for every `PairOptions` combination,
 //! across dimensionalities on both sides of the monomorphized range
@@ -8,7 +8,7 @@
 //! sentinel padding.
 
 use aggsky::core::kernel::{
-    compare_groups_blocked, compare_groups_columnar, count_pairs, Kernel, KernelConfig,
+    compare_groups_columnar, compare_groups_row_wise, count_pairs, Kernel, KernelConfig,
 };
 use aggsky::core::paircount::{compare_groups, PairOptions};
 use aggsky::core::prepared::{PreparedDataset, MAX_LANE_BLOCK};
@@ -69,7 +69,6 @@ fn columnar_is_bit_identical_to_row_wise_and_agrees_with_exhaustive() {
             let boxes = Mbb::of_all_groups(&ds);
             for block_size in BLOCK_SIZES {
                 let prep = PreparedDataset::build(&ds, block_size).unwrap();
-                assert!(prep.lanes_enabled(), "d={dim} bs={block_size}");
                 for g1 in ds.group_ids() {
                     for g2 in (g1 + 1)..ds.n_groups() {
                         for opts in all_pair_options() {
@@ -85,7 +84,7 @@ fn columnar_is_bit_identical_to_row_wise_and_agrees_with_exhaustive() {
                                 let columnar = compare_groups_columnar(
                                     &prep, g1, g2, gamma, pair_boxes, opts, &mut s_col,
                                 );
-                                let row_wise = compare_groups_blocked(
+                                let row_wise = compare_groups_row_wise(
                                     &prep, g1, g2, gamma, pair_boxes, opts, &mut s_row,
                                 );
                                 let reference = compare_groups(
@@ -159,7 +158,8 @@ fn sentinel_padded_edge_blocks_change_nothing() {
                 let mut s_row = Stats::default();
                 let columnar =
                     compare_groups_columnar(&prep, g1, g2, gamma, None, opts, &mut s_col);
-                let row_wise = compare_groups_blocked(&prep, g1, g2, gamma, None, opts, &mut s_row);
+                let row_wise =
+                    compare_groups_row_wise(&prep, g1, g2, gamma, None, opts, &mut s_row);
                 assert_eq!(columnar, row_wise, "d={dim} {g1}v{g2}");
                 assert_eq!(s_col, s_row, "d={dim} {g1}v{g2}");
                 let (n12, n21) = count_pairs(&prep, g1, g2, &mut Stats::default());
@@ -170,9 +170,9 @@ fn sentinel_padded_edge_blocks_change_nothing() {
     }
 }
 
-/// End to end: every evaluated algorithm returns the same skyline, the same
-/// verdict-relevant `Stats`, under all three kernel configurations; blocked
-/// and columnar runs are bit-identical in their work counters too.
+/// End to end: every evaluated algorithm returns the same skyline under all
+/// three kernel configurations; blocked (AVX2 when available) and
+/// scalar-pinned runs are bit-identical in their work counters too.
 #[test]
 fn algorithms_agree_across_all_three_kernels() {
     for dim in [2, 5] {
@@ -188,7 +188,7 @@ fn algorithms_agree_across_all_three_kernels() {
                     .run_with(&ds, AlgoOptions { kernel: KernelConfig::blocked(), ..base })
                     .unwrap();
                 let col = algo
-                    .run_with(&ds, AlgoOptions { kernel: KernelConfig::columnar(), ..base })
+                    .run_with(&ds, AlgoOptions { kernel: KernelConfig::columnar_scalar(), ..base })
                     .unwrap();
                 assert_eq!(ex.skyline, bl.skyline, "{algo:?} d={dim} seed={seed}");
                 assert_eq!(bl.skyline, col.skyline, "{algo:?} d={dim} seed={seed}");
@@ -198,12 +198,13 @@ fn algorithms_agree_across_all_three_kernels() {
     }
 }
 
-/// The columnar kernel dispatcher rejects lane-incompatible block sizes
-/// instead of silently falling back.
+/// The blocked kernel rejects lane-incompatible block sizes instead of
+/// silently falling back, and so does the preparation itself.
 #[test]
 fn columnar_kernel_config_requires_lane_sized_blocks() {
     let ds = dataset(3, 1);
-    assert!(Kernel::new(&ds, KernelConfig::Columnar { block_size: MAX_LANE_BLOCK + 1 }).is_err());
-    assert!(Kernel::new(&ds, KernelConfig::Columnar { block_size: 0 }).is_err());
-    assert!(Kernel::new(&ds, KernelConfig::Columnar { block_size: MAX_LANE_BLOCK }).is_ok());
+    assert!(Kernel::new(&ds, KernelConfig::Blocked { block_size: MAX_LANE_BLOCK + 1 }).is_err());
+    assert!(Kernel::new(&ds, KernelConfig::Blocked { block_size: 0 }).is_err());
+    assert!(Kernel::new(&ds, KernelConfig::Blocked { block_size: MAX_LANE_BLOCK }).is_ok());
+    assert!(PreparedDataset::build(&ds, MAX_LANE_BLOCK + 1).is_err());
 }

@@ -168,7 +168,7 @@ fn scalar_and_auto_kernels_are_bit_identical_on_the_same_stream() {
             let mut scalar =
                 DynamicAggregateSkyline::with_kernel(dim, KernelConfig::columnar_scalar())
                     .expect("valid block size");
-            let mut auto = DynamicAggregateSkyline::with_kernel(dim, KernelConfig::columnar())
+            let mut auto = DynamicAggregateSkyline::with_kernel(dim, KernelConfig::blocked())
                 .expect("valid block size");
             let mut rng_a = Rng64::new(seed ^ dim as u64);
             let mut rng_b = Rng64::new(seed ^ dim as u64);

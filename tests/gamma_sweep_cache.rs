@@ -115,7 +115,7 @@ fn resumed_tallies_are_never_double_charged() {
         // blocked stop rule fires at block granularity, not record
         // granularity, so an exhaustive-kernel cost would not match).
         let opts = AlgoOptions {
-            kernel: aggsky::core::KernelConfig::columnar(),
+            kernel: aggsky::core::KernelConfig::blocked(),
             ..AlgoOptions::exact(gamma)
         };
         let solo = Algorithm::NestedLoop.run_with(&ds, opts).unwrap();

@@ -1,10 +1,11 @@
 //! Equivalence of the blocked counting kernel with the per-pair ground
 //! truth: on random, correlated and anticorrelated workloads, at every
 //! block size, the kernel's exact pair counts must equal the
-//! [`DominationMatrix`] ones-count, and its verdicts must match the
-//! unblocked `compare_groups` for every `PairOptions` combination.
+//! [`DominationMatrix`] ones-count, and its verdicts — with the production
+//! columnar straddle loop and with the row-wise reference loop — must match
+//! the unblocked `compare_groups` for every `PairOptions` combination.
 
-use aggsky::core::kernel::{compare_groups_blocked, count_pairs};
+use aggsky::core::kernel::{compare_groups_columnar, compare_groups_row_wise, count_pairs};
 use aggsky::core::paircount::{compare_groups, PairOptions};
 use aggsky::core::prepared::PreparedDataset;
 use aggsky::core::{DominationMatrix, Mbb, Stats};
@@ -119,18 +120,22 @@ fn verdicts_match_unblocked_for_all_options() {
                         for opts in all_pair_options() {
                             for use_boxes in [false, true] {
                                 let pair_boxes = use_boxes.then(|| (&boxes[g1], &boxes[g2]));
-                                let mut s1 = Stats::default();
                                 let mut s2 = Stats::default();
-                                let blocked = compare_groups_blocked(
-                                    &prep, g1, g2, gamma, pair_boxes, opts, &mut s1,
-                                );
                                 let reference =
                                     compare_groups(&ds, g1, g2, gamma, pair_boxes, opts, &mut s2);
-                                assert_eq!(
-                                    blocked, reference,
-                                    "{name} seed={seed} bs={block_size} {g1}v{g2} {opts:?} \
-                                     boxes={use_boxes}"
-                                );
+                                for blocked_compare in
+                                    [compare_groups_columnar, compare_groups_row_wise]
+                                {
+                                    let mut s1 = Stats::default();
+                                    let blocked = blocked_compare(
+                                        &prep, g1, g2, gamma, pair_boxes, opts, &mut s1,
+                                    );
+                                    assert_eq!(
+                                        blocked, reference,
+                                        "{name} seed={seed} bs={block_size} {g1}v{g2} {opts:?} \
+                                         boxes={use_boxes}"
+                                    );
+                                }
                             }
                         }
                     }

